@@ -128,17 +128,17 @@ func (*Capacity) Name() string { return "CapacityModel" }
 // Arity implements Box.
 func (*Capacity) Arity() int { return 3 }
 
-// Eval implements Box. The random stream is consumed in a fixed order
-// (noise, failures, per-purchase delay) regardless of argument values,
-// so invocations at different parameter points stay comparable under a
-// common seed.
-func (c *Capacity) Eval(args []float64, r *rng.Rand) float64 {
-	checkArity(c.Name(), c.Arity(), args)
-	week := args[0]
+// draw is Capacity's one draw sequence, which Eval, EvalBlock and
+// EvalStream loop around: the random stream is consumed in a fixed
+// order (noise, failures, per-purchase delay) regardless of argument
+// values, so invocations at different parameter points stay comparable
+// under a common seed. rate is the hoisted exponential rate
+// 1/MeanDelay.
+func (c *Capacity) draw(week float64, purchases []float64, rate float64, r *rng.Rand) float64 {
 	capacity := c.Base + r.Normal(0, c.BaseNoise)
 	capacity -= float64(r.Binomial(c.FailTrials, c.FailRate))
-	for _, purchase := range args[1:] {
-		delay := r.Exponential(1 / c.MeanDelay)
+	for _, purchase := range purchases {
+		delay := r.Exponential(rate)
 		if week >= purchase+delay {
 			capacity += c.PurchaseVolume
 		}
@@ -146,29 +146,24 @@ func (c *Capacity) Eval(args []float64, r *rng.Rand) float64 {
 	return capacity
 }
 
+// Eval implements Box.
+func (c *Capacity) Eval(args []float64, r *rng.Rand) float64 {
+	checkArity(c.Name(), c.Arity(), args)
+	return c.draw(args[0], args[1:], 1/c.MeanDelay, r)
+}
+
 // EvalBlock implements BlockBox. Capacity's stream mixes normal,
 // Bernoulli and exponential draws, so the kernel keeps one local
-// generator and replays Eval's exact sequence per seed; the block
-// form hoists the argument decode, arity check and exponential rate
-// out of the loop and drops the per-sample interface dispatch.
+// generator and replays the draw sequence per seed, with the argument
+// decode, arity check and exponential rate hoisted out of the loop.
 func (c *Capacity) EvalBlock(args []float64, out []float64, seeds []uint64) {
 	checkArity(c.Name(), c.Arity(), args)
 	checkBlock(c.Name(), out, seeds)
-	week := args[0]
-	purchases := args[1:]
-	rate := 1 / c.MeanDelay
+	week, purchases, rate := args[0], args[1:], 1/c.MeanDelay
 	var r rng.Rand
 	for i, seed := range seeds {
 		r.Seed(seed)
-		capacity := c.Base + r.Normal(0, c.BaseNoise)
-		capacity -= float64(r.Binomial(c.FailTrials, c.FailRate))
-		for _, purchase := range purchases {
-			delay := r.Exponential(rate)
-			if week >= purchase+delay {
-				capacity += c.PurchaseVolume
-			}
-		}
-		out[i] = capacity
+		out[i] = c.draw(week, purchases, rate, &r)
 	}
 }
 
@@ -204,35 +199,55 @@ func (*Overload) Name() string { return "OverloadModel" }
 // Arity implements Box.
 func (*Overload) Arity() int { return 3 }
 
-// Eval implements Box.
-func (o *Overload) Eval(args []float64, r *rng.Rand) float64 {
-	checkArity(o.Name(), o.Arity(), args)
-	demand := o.DemandModel.Eval([]float64{args[0], o.NoFeature}, r)
-	capacity := o.CapacityModel.Eval(args, r)
+// overloadArgs is Overload's per-argument-vector state, resolved once
+// per call and shared by every sample the call draws.
+type overloadArgs struct {
+	// mu and variance are Demand's (µ, σ²) at the pinned feature week.
+	mu, variance float64
+	// week, purchases and rate are Capacity's draw arguments.
+	week      float64
+	purchases []float64
+	rate      float64
+}
+
+// hoist resolves the argument vector once for a run of draws.
+func (o *Overload) hoist(args []float64) overloadArgs {
+	mu, variance := o.DemandModel.params(args[0], o.NoFeature)
+	return overloadArgs{
+		mu: mu, variance: variance,
+		week: args[0], purchases: args[1:], rate: 1 / o.CapacityModel.MeanDelay,
+	}
+}
+
+// draw is Overload's one draw sequence, which Eval, EvalBlock and
+// EvalStream loop around. The composed models share one generator per
+// sample: Capacity's noise draw consumes the second polar variate
+// Demand's draw cached.
+func (o *Overload) draw(a *overloadArgs, r *rng.Rand) float64 {
+	demand := r.NormalVar(a.mu, a.variance)
+	capacity := o.CapacityModel.draw(a.week, a.purchases, a.rate, r)
 	if capacity < demand {
 		return 1
 	}
 	return 0
 }
 
-// EvalBlock implements BlockBox. The composed models share one
-// generator per sample (Capacity's noise draw consumes the second
-// polar variate Demand's draw cached), so the kernel replays Eval's
-// call sequence against a local generator; the demand argument vector
-// Eval rebuilds per sample is hoisted to a stack buffer.
+// Eval implements Box.
+func (o *Overload) Eval(args []float64, r *rng.Rand) float64 {
+	checkArity(o.Name(), o.Arity(), args)
+	a := o.hoist(args)
+	return o.draw(&a, r)
+}
+
+// EvalBlock implements BlockBox: the draw sequence per seed against a
+// local generator, with the arguments resolved once.
 func (o *Overload) EvalBlock(args []float64, out []float64, seeds []uint64) {
 	checkArity(o.Name(), o.Arity(), args)
 	checkBlock(o.Name(), out, seeds)
-	dargs := [2]float64{args[0], o.NoFeature}
+	a := o.hoist(args)
 	var r rng.Rand
 	for i, seed := range seeds {
 		r.Seed(seed)
-		demand := o.DemandModel.Eval(dargs[:], &r)
-		capacity := o.CapacityModel.Eval(args, &r)
-		if capacity < demand {
-			out[i] = 1
-		} else {
-			out[i] = 0
-		}
+		out[i] = o.draw(&a, &r)
 	}
 }

@@ -90,59 +90,40 @@ func (d *Demand) EvalStream(args []float64, out []float64, rands []rng.Rand, act
 	}
 }
 
-// EvalStream implements StreamBox: Eval's exact draw sequence per
-// world with the argument decode and exponential rate hoisted out of
-// the loop.
+// EvalStream implements StreamBox: the draw sequence per world with
+// the argument decode and exponential rate hoisted out of the loop.
 func (c *Capacity) EvalStream(args []float64, out []float64, rands []rng.Rand, active []bool) {
 	checkArity(c.Name(), c.Arity(), args)
 	checkStream(c.Name(), out, rands, active)
-	week := args[0]
-	purchases := args[1:]
-	rate := 1 / c.MeanDelay
+	week, purchases, rate := args[0], args[1:], 1/c.MeanDelay
 	for w := range rands {
 		if active != nil && !active[w] {
 			continue
 		}
-		r := &rands[w]
-		capacity := c.Base + r.Normal(0, c.BaseNoise)
-		capacity -= float64(r.Binomial(c.FailTrials, c.FailRate))
-		for _, purchase := range purchases {
-			delay := r.Exponential(rate)
-			if week >= purchase+delay {
-				capacity += c.PurchaseVolume
-			}
-		}
-		out[w] = capacity
+		out[w] = c.draw(week, purchases, rate, &rands[w])
 	}
 }
 
-// EvalStream implements StreamBox: the demand argument vector Eval
-// rebuilds per call is hoisted to a stack buffer; the composed models
-// share each world's generator exactly as Eval does.
+// EvalStream implements StreamBox: the draw sequence per world with
+// the arguments resolved once; the composed models share each world's
+// generator exactly as Eval does.
 func (o *Overload) EvalStream(args []float64, out []float64, rands []rng.Rand, active []bool) {
 	checkArity(o.Name(), o.Arity(), args)
 	checkStream(o.Name(), out, rands, active)
-	dargs := [2]float64{args[0], o.NoFeature}
+	a := o.hoist(args)
 	for w := range rands {
 		if active != nil && !active[w] {
 			continue
 		}
-		r := &rands[w]
-		demand := o.DemandModel.Eval(dargs[:], r)
-		capacity := o.CapacityModel.Eval(args, r)
-		if capacity < demand {
-			out[w] = 1
-		} else {
-			out[w] = 0
-		}
+		out[w] = o.draw(&a, &rands[w])
 	}
 }
 
 // EvalStream implements StreamBox: the activity test and mean
 // (including the expensive growth power) compute once per row-column,
-// and the per-world body is a bare LogNormal draw — the set-oriented
-// amortization of EvalBulk without reordering randomness, so the
-// columnar PDB path stays bit-identical to per-world interpretation.
+// and the per-world body is a bare LogNormal draw — set-oriented
+// amortization that keeps each world's draw order, so the columnar
+// PDB path stays bit-identical to per-world interpretation.
 func (UserUsage) EvalStream(args []float64, out []float64, rands []rng.Rand, active []bool) {
 	checkArity("UserUsage", 5, args)
 	checkStream("UserUsage", out, rands, active)

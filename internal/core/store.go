@@ -338,21 +338,16 @@ func (s *Store) Match(fp Fingerprint) (basis *Basis, mapping Mapping, ok bool) {
 	return s.MatchWhereBuf(fp, nil, nil)
 }
 
-// MatchWhere is Match with a candidate filter: when accept is non-nil
-// it is consulted before mapping discovery, and a rejected basis is
-// skipped (not scanned, not returned) rather than ending the search.
-// The Monte Carlo engine uses it to step over bases whose payloads a
-// concurrent — or cancelled — sweep never finished filling in, so an
-// abandoned registration costs one redundant simulation instead of
-// shadowing its fingerprint family forever.
-func (s *Store) MatchWhere(fp Fingerprint, accept func(*Basis) bool) (basis *Basis, mapping Mapping, ok bool) {
-	return s.MatchWhereBuf(fp, accept, nil)
-}
-
-// MatchWhereBuf is MatchWhere with caller-owned probe buffers: a
-// non-nil scratch makes the steady-state probe allocation-free. A nil
-// scratch falls back to local buffers (one allocation per probe with
-// candidates).
+// MatchWhereBuf is Match with a candidate filter and caller-owned
+// probe buffers. When accept is non-nil it is consulted before mapping
+// discovery, and a rejected basis is skipped (not scanned, not
+// returned) rather than ending the search. The Monte Carlo engine uses
+// it to step over bases whose payloads a concurrent — or cancelled —
+// sweep never finished filling in, so an abandoned registration costs
+// one redundant simulation instead of shadowing its fingerprint family
+// forever. A non-nil scratch makes the steady-state probe
+// allocation-free; a nil scratch falls back to local buffers (one
+// allocation per probe with candidates).
 func (s *Store) MatchWhereBuf(fp Fingerprint, accept func(*Basis) bool, scratch *ProbeScratch) (basis *Basis, mapping Mapping, ok bool) {
 	s.queries.Add(1)
 	basis, mapping, ok, scanned := s.matchInto(fp, accept, scratch, nil)

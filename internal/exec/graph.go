@@ -92,6 +92,10 @@ func RunGraph(s *Scenario, g *sqlparse.GraphStmt, fixed param.Point, opts mc.Opt
 		res.Stats.Points += st.Points
 		res.Stats.FullSimulations += st.FullSimulations
 		res.Stats.Reused += st.Reused
+		res.Stats.Store.Bases += st.Store.Bases
+		res.Stats.Store.Queries += st.Store.Queries
+		res.Stats.Store.Hits += st.Store.Hits
+		res.Stats.Store.CandidatesScanned += st.Store.CandidatesScanned
 	}
 
 	for _, series := range g.Series {

@@ -75,6 +75,12 @@ func TestRunGraphFigure2(t *testing.T) {
 		// columns → 3 engines × 53 points.
 		t.Fatalf("points = %d", res.Stats.Points)
 	}
+	// Every point queries its column's store once, and every full
+	// simulation registers one basis.
+	if st := res.Stats; st.Store.Queries != st.Points || st.Store.Bases != st.FullSimulations {
+		t.Fatalf("store counters %+v do not add up to points %d / full simulations %d",
+			st.Store, st.Points, st.FullSimulations)
+	}
 }
 
 func TestRunGraphValidation(t *testing.T) {

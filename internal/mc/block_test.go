@@ -10,8 +10,8 @@ import (
 	"jigsaw/internal/rng"
 )
 
-// The block pipeline's engine-level guarantee: BlockSize is a pure
-// performance knob. Sweep results — summaries, reuse decisions, store
+// The block pipeline's engine-level guarantee: the sample-block size
+// is a pure performance knob. Sweep results — summaries, reuse decisions, store
 // statistics — are bit-identical for every block size, every worker
 // count, and for block-capable and scalar-only evaluators alike.
 
@@ -38,7 +38,7 @@ func TestSweepBlockSizeInvariance(t *testing.T) {
 		Samples: 500, FingerprintLen: 10, MasterSeed: 0x5161,
 		Reuse: true, Index: IndexNormalization, Workers: 1,
 	}
-	ref := MustNew(base) // BlockSize 0 → DefaultBlockSize
+	ref := MustNew(base) // blockSize 0 → defaultBlockSize
 	refRes, refStats, err := ref.Sweep(ev, space)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestSweepBlockSizeInvariance(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("block=%d/workers=%d", bs, workers), func(t *testing.T) {
 				opts := base
-				opts.BlockSize = bs
+				opts.blockSize = bs
 				opts.Workers = workers
 				eng := MustNew(opts)
 				res, stats, err := eng.Sweep(ev, space)
@@ -120,7 +120,7 @@ func TestValidationBlockSizeInvariance(t *testing.T) {
 	}
 	for _, bs := range []int{1, 7, 64} {
 		opts := base
-		opts.BlockSize = bs
+		opts.blockSize = bs
 		eng := MustNew(opts)
 		res, stats, err := eng.Sweep(ev, space)
 		if err != nil {
@@ -137,7 +137,7 @@ func TestFingerprintUnchangedByBlockSize(t *testing.T) {
 	p := param.Point{"current_week": 17, "feature_release": 4}
 	var want []float64
 	for _, bs := range []int{1, 3, 64} {
-		e := MustNew(Options{Samples: 100, FingerprintLen: 12, MasterSeed: 0x5161, BlockSize: bs, Workers: 1})
+		e := MustNew(Options{Samples: 100, FingerprintLen: 12, MasterSeed: 0x5161, blockSize: bs, Workers: 1})
 		fp := e.Fingerprint(ev, p)
 		if want == nil {
 			want = fp

@@ -200,25 +200,29 @@ type Options struct {
 	// HistBins adds an equi-width histogram to summaries when
 	// KeepSamples is set.
 	HistBins int
-	// Workers sizes the engine's worker pool; 0 means GOMAXPROCS, 1
-	// forces sequential evaluation. Sweep and SweepBatch spread
-	// parameter points across the pool; a lone EvaluatePoint call
-	// spreads its sample rounds instead. Results are deterministic for
-	// any worker count (see DESIGN.md, "Concurrency model").
+	// Workers sizes the engine's worker pool; 0 means GOMAXPROCS and
+	// a negative value counts as 1. Sweep and SweepBatch spread
+	// parameter points across the pool, and the full simulations of a
+	// batch smaller than the pool spread their sample rounds over the
+	// rest of it; a lone EvaluatePoint call spreads its sample rounds.
+	// Results are bit-identical for any worker count (see DESIGN.md,
+	// "Concurrency model").
 	Workers int
-	// BlockSize is the number of samples the full-simulation path
+
+	// blockSize is the number of samples the full-simulation path
 	// draws per batch through the block pipeline; 0 means
-	// DefaultBlockSize. It is a pure performance knob: every sample's
-	// seed depends only on its id, so results are bit-identical for
-	// every block size (see DESIGN.md, "Block-sampling pipeline").
-	BlockSize int
+	// defaultBlockSize. Only in-package tests set it, to show that
+	// results do not depend on it.
+	blockSize int
 }
 
-// DefaultBlockSize is the sample-block size used when
-// Options.BlockSize is 0: large enough to amortize per-block setup
-// (seed fill, kernel dispatch, binding checks) to noise, small enough
-// that a block's seeds and samples stay L1-resident (4 KiB together).
-const DefaultBlockSize = 256
+// defaultBlockSize is the sample-block size: large enough to amortize
+// per-block setup (seed fill, kernel dispatch, binding checks) to
+// noise, small enough that a block's seeds and samples stay
+// L1-resident (4 KiB together). Every sample's seed depends only on
+// its id, so results are bit-identical for every block size (see
+// DESIGN.md, "Block-sampling pipeline").
+const defaultBlockSize = 256
 
 // MinSamplesPerWorker is the smallest number of post-fingerprint
 // samples worth handing one extra goroutine in a lone EvaluatePoint
@@ -272,8 +276,11 @@ func (o Options) withDefaults() Options {
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.BlockSize <= 0 {
-		o.BlockSize = DefaultBlockSize
+	if o.Workers < 0 {
+		o.Workers = 1
+	}
+	if o.blockSize <= 0 {
+		o.blockSize = defaultBlockSize
 	}
 	return o
 }
@@ -321,7 +328,7 @@ func (p *BasisPayload) complete() { p.pending.Store(0) }
 // miss registers a usable duplicate) and never a wrong answer.
 func (p *BasisPayload) Ready() bool { return p.pending.Load() == 0 }
 
-// payloadReady is the engine's Store.MatchWhere filter: bases whose
+// payloadReady is the engine's Store.MatchWhereBuf filter: bases whose
 // payloads are still (or forever) incomplete are skipped during
 // candidate scanning. Foreign payload types are left to mapBasis.
 func payloadReady(b *core.Basis) bool {
@@ -353,9 +360,9 @@ type PointResult struct {
 // sharing a warmed store) may call EvaluatePoint concurrently. Note
 // that concurrent EvaluatePoint callers race benignly on basis
 // registration — both may fully simulate the same fingerprint family
-// before either Adds it. Sweep and SweepBatch avoid that by
+// before either Adds it. A sweep avoids that within its batch by
 // sequencing all store decisions in enumeration order, which also
-// makes their results bit-identical for every Workers setting.
+// makes its results bit-identical for every Workers setting.
 type Engine struct {
 	opts  Options
 	seeds *rng.SeedSet
@@ -559,8 +566,8 @@ func (e *Engine) mapBasis(basis *core.Basis, mapping core.Mapping, p param.Point
 // fullSimulation runs all n rounds: the fingerprint rounds are reused
 // as the first m samples, the remainder is drawn from the seed stream,
 // optionally spread over workers goroutines (MCDB evaluates sampled
-// worlds in parallel, §2.1; the parallel sweep passes workers=1
-// because the pool is already busy with other points). Results are
+// worlds in parallel, §2.1; a sweep passes its pool's share per
+// point, 1 when the pool is busy with other points). Results are
 // deterministic regardless of worker count because each sample's seed
 // depends only on its id. The raw sample vector is returned for
 // basis-payload retention; when the engine does not retain samples it
@@ -621,7 +628,7 @@ func (e *Engine) fullSimulation(f PointEval, p param.Point, fp core.Fingerprint,
 // Chunk and block boundaries are invisible in the output because each
 // sample's seed depends only on its id.
 func (e *Engine) sampleRange(sm *sampler, dst []float64, start int, sc *scratch) {
-	bs := e.opts.BlockSize
+	bs := e.opts.blockSize
 	if bs > len(dst) {
 		bs = len(dst)
 	}

@@ -90,7 +90,7 @@ func TestSweepPhaseCancellation(t *testing.T) {
 				at:     tc.at,
 				cancel: cancel,
 			}
-			if _, _, err := eng.SweepContext(ctx, ce, space); err != context.Canceled {
+			if _, _, err := eng.SweepBatchContext(ctx, ce, space.Points()); err != context.Canceled {
 				t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
 			}
 			if ce.count.Load() < tc.at {
@@ -123,10 +123,17 @@ func TestSweepPhaseCancellation(t *testing.T) {
 	}
 }
 
-// TestSweepReuseSteadyStateAllocs pins the tentpole's allocation
-// budget: on a warmed store, a parallel sweep's per-point allocations
-// must not exceed the sequential sweep's — speculation (views, probe
-// scratch, commit bookkeeping) costs no per-point heap.
+// sweepReuseAllocBudget is a warmed-store sweep's allowed allocations
+// per point: one boxed mapping per reused point plus the sweep's fixed
+// bookkeeping (result, plan and fingerprint arrays, per-worker scratch
+// slots, pool goroutines) amortized over the batch. Measured on
+// sweepSpace's 186 points: 1.04 at Workers 1 and 1.22 at Workers 4.
+const sweepReuseAllocBudget = 1.25
+
+// TestSweepReuseSteadyStateAllocs pins the sweep's allocation budget:
+// on a warmed store, speculation (views, probe scratch, commit
+// bookkeeping) costs no per-point heap beyond the boxed mapping, on
+// one worker or several.
 func TestSweepReuseSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budgets are meaningless under the race detector (sync.Pool drops puts)")
@@ -135,7 +142,7 @@ func TestSweepReuseSteadyStateAllocs(t *testing.T) {
 	points := space.Points()
 	ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
 
-	perPoint := func(workers int) float64 {
+	for _, workers := range []int{1, 4} {
 		opts := sweepOptions(workers)
 		opts.Index = IndexNormalization
 		eng := MustNew(opts)
@@ -149,18 +156,10 @@ func TestSweepReuseSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		return allocs / float64(len(points))
-	}
-
-	seq := perPoint(1)
-	par := perPoint(4)
-	// The sequential path allocates ~1 per reused point (the boxed
-	// mapping). The parallel path boxes the same mapping in phase A;
-	// everything speculation adds — views, plans, own-registration
-	// tracking — must amortize to O(1) per sweep, leaving headroom
-	// only for fixed per-sweep and per-goroutine bookkeeping.
-	if par > seq+0.5 {
-		t.Errorf("parallel sweep allocates %.2f/point on a warmed store vs %.2f sequential; speculation must not add per-point allocations", par, seq)
+		if perPoint := allocs / float64(len(points)); perPoint > sweepReuseAllocBudget {
+			t.Errorf("workers=%d: sweep allocates %.2f/point on a warmed store, budget %.2f; speculation must not add per-point allocations",
+				workers, perPoint, sweepReuseAllocBudget)
+		}
 	}
 }
 
@@ -218,7 +217,7 @@ func TestFullSimulationSmallStaysSequential(t *testing.T) {
 //
 //   - full-match: what phase B paid per reused point before
 //     speculation (the complete MatchWhereBuf probe, quantization and
-//     all), and still the sequential sweep's per-point match cost;
+//     all), and still a lone EvaluatePoint's per-point match cost;
 //   - commit-current: the speculative commit when the probed shards
 //     are unchanged (warmed store, the steady state of repeated or
 //     reuse-heavy sweeps) — an epoch load and a plan copy;

@@ -9,9 +9,11 @@ import (
 	"jigsaw/internal/pool"
 )
 
-// This file implements the concurrent sweep subsystem: point-level
-// parallelism over a parameter space (or an explicit batch of points)
-// with results bit-identical to a sequential sweep.
+// This file implements the engine's one batch path: point-level
+// parallelism over an explicit batch of points (or a parameter space's
+// enumeration) with results bit-identical to evaluating the points one
+// by one with EvaluatePoint, for every worker count — Workers: 1
+// included, which runs the same phases on a single goroutine.
 //
 // A naive parallel sweep would race on the basis store: whichever
 // point finishes first registers the basis, and every other mappable
@@ -50,76 +52,26 @@ import (
 // Sweep evaluates every point of the space in enumeration order and
 // returns per-point results plus reuse statistics. This is Jigsaw's
 // batch-mode inner loop (Fig. 3): Parameter Enumerator → PDB → basis
-// reuse. With Options.Workers > 1 the points are evaluated by a
-// worker pool; results and statistics are bit-identical to Workers: 1.
+// reuse. It is SweepBatchContext over space.Points().
 func (e *Engine) Sweep(f PointEval, space *param.Space) ([]PointResult, SweepStats, error) {
-	return e.SweepContext(context.Background(), f, space)
-}
-
-// SweepContext is Sweep with cancellation: it stops early (returning
-// ctx.Err()) when the context is cancelled.
-func (e *Engine) SweepContext(ctx context.Context, f PointEval, space *param.Space) ([]PointResult, SweepStats, error) {
 	if space == nil {
 		return nil, SweepStats{}, errors.New("mc: nil parameter space")
 	}
-	if e.sweepWorkers(space.Size()) <= 1 {
-		sc := e.scratches.Get()
-		defer e.scratches.Put(sc)
-		results := make([]PointResult, 0, space.Size())
-		var err error
-		space.Each(func(p param.Point) bool {
-			if err = ctx.Err(); err != nil {
-				return false
-			}
-			results = append(results, e.evaluatePoint(f, p, sc, e.opts.Workers))
-			return true
-		})
-		if err != nil {
-			return nil, SweepStats{}, err
-		}
-		return results, e.Stats(len(results)), nil
-	}
-	return e.sweepParallel(ctx, f, space.Points())
+	return e.SweepBatchContext(context.Background(), f, space.Points())
 }
 
-// SweepBatch evaluates an explicit list of parameter points through
-// the engine's worker pool, in slice order, with the same determinism
-// guarantee as Sweep. It is the building block for callers that
-// compose points themselves: the optimizer's (group × sweep) product,
-// a graph statement's domain walk, or an interactive prefetch batch.
+// SweepBatch is SweepBatchContext without cancellation.
 func (e *Engine) SweepBatch(f PointEval, points []param.Point) ([]PointResult, SweepStats, error) {
 	return e.SweepBatchContext(context.Background(), f, points)
 }
 
-// SweepBatchContext is SweepBatch with cancellation.
-func (e *Engine) SweepBatchContext(ctx context.Context, f PointEval, points []param.Point) ([]PointResult, SweepStats, error) {
-	if e.sweepWorkers(len(points)) <= 1 {
-		sc := e.scratches.Get()
-		defer e.scratches.Put(sc)
-		results := make([]PointResult, 0, len(points))
-		for _, p := range points {
-			if err := ctx.Err(); err != nil {
-				return nil, SweepStats{}, err
-			}
-			results = append(results, e.evaluatePoint(f, p, sc, e.opts.Workers))
-		}
-		return results, e.Stats(len(results)), nil
-	}
-	return e.sweepParallel(ctx, f, points)
-}
-
-// sweepWorkers clamps the configured pool size to the job size.
-func (e *Engine) sweepWorkers(points int) int {
-	w := e.opts.Workers
-	if w > points {
-		w = points
-	}
-	return w
-}
-
-// pointPlan is one point's record through the phases: the speculative
-// match from phase A, and phase B's committed decision.
+// pointPlan is one point's record through the phases: its
+// fingerprint and speculative match from phase A, and phase B's
+// committed decision.
 type pointPlan struct {
+	// fp is the point's fingerprint, a window of the sweep's shared
+	// backing array.
+	fp core.Fingerprint
 	// view records what the speculative match observed (probed
 	// signatures, shard epochs, per-group scan counts); the commit
 	// loop validates the speculation against it.
@@ -131,6 +83,9 @@ type pointPlan struct {
 	// simulate marks a miss: the point runs a full simulation in
 	// phase C1.
 	simulate bool
+	// done marks a miss phase B already simulated inline (validation
+	// needed its samples), which C1 skips.
+	done bool
 	// basis is the matched basis (reuse) or the newly registered one
 	// (simulate with reuse enabled); nil with reuse disabled.
 	basis *core.Basis
@@ -178,13 +133,30 @@ func (o *ownAdds) tail(store *core.Store, v *core.MatchView, j int) []*core.Basi
 	return o.all
 }
 
-// sweepParallel is the phased concurrent sweep. See the file comment
-// for the phase structure and DESIGN.md for the determinism argument.
-func (e *Engine) sweepParallel(ctx context.Context, f PointEval, points []param.Point) ([]PointResult, SweepStats, error) {
+// SweepBatchContext evaluates an explicit list of parameter points
+// through the engine's worker pool, in slice order, and stops early
+// (returning ctx.Err()) when the context is cancelled. It is the
+// building block for callers that compose points themselves: the
+// optimizer's (group × sweep) product, a graph statement's domain
+// walk, or an interactive prefetch batch. Results and statistics are
+// bit-identical for every Options.Workers value, and to the
+// sequential Fig. 3 loop
+//
+//	for _, p := range points { e.EvaluatePoint(f, p) }
+//
+// followed by e.Stats(len(points)). See the file comment for the
+// phase structure and DESIGN.md for the determinism argument.
+func (e *Engine) SweepBatchContext(ctx context.Context, f PointEval, points []param.Point) ([]PointResult, SweepStats, error) {
+	if len(points) == 0 {
+		return nil, e.Stats(0), nil
+	}
 	n := len(points)
-	workers := e.sweepWorkers(n)
+	workers := min(e.opts.Workers, n)
+	// fanout is each full simulation's share of the pool: 1 whenever
+	// the batch fills it, so a small batch (a lone point above all)
+	// still spreads its samples the way EvaluatePoint does.
+	fanout := e.opts.Workers / workers
 	results := make([]PointResult, n)
-	fps := make([]core.Fingerprint, n)
 	plans := make([]pointPlan, n)
 
 	// One scratch per worker id, pinned for all three phases: a
@@ -216,7 +188,7 @@ func (e *Engine) sweepParallel(ctx context.Context, f PointEval, points []param.
 		sc := scratches[w]
 		fp := core.Fingerprint(backing[i*m : (i+1)*m : (i+1)*m])
 		e.fingerprintFill(f, points[i], fp, sc)
-		fps[i] = fp
+		plans[i].fp = fp
 		if reuse {
 			plans[i].specBasis, plans[i].specMapping, _ =
 				e.store.MatchSpeculative(fp, payloadReady, &sc.probe, &plans[i].view)
@@ -227,14 +199,12 @@ func (e *Engine) sweepParallel(ctx context.Context, f PointEval, points []param.
 
 	// Phase B: the serial commit loop, strictly in enumeration order.
 	// pending maps a basis ID registered during this sweep to the
-	// index of the point that owns its simulation; done marks points
-	// already simulated inline by the validation path; own tracks this
+	// index of the point that owns its simulation; own tracks this
 	// sweep's registrations per probe bucket for delta replays. Store
 	// probe counters are accumulated locally and flushed once, so the
-	// final SweepStats are bit-identical to the sequential sweep
+	// final SweepStats are bit-identical to the sequential loop's
 	// without per-point atomics.
 	pending := make(map[int]int)
-	done := make([]bool, n)
 	validating := e.opts.ValidationSamples > 0 && e.opts.KeepSamples
 	sc0 := scratches[0]
 	var own ownAdds
@@ -265,7 +235,7 @@ func (e *Engine) sweepParallel(ctx context.Context, f PointEval, points []param.
 		}
 		if reuse {
 			queries++
-			basis, mapping, ok, pointScanned, counted := e.commitMatch(fps[i], &plans[i], &own, accept, sc0)
+			basis, mapping, ok, pointScanned, counted := e.commitMatch(plans[i].fp, &plans[i], &own, accept, sc0)
 			if counted {
 				queries--
 			} else {
@@ -280,18 +250,18 @@ func (e *Engine) sweepParallel(ctx context.Context, f PointEval, points []param.
 					// Validation compares against the basis' retained
 					// samples; a basis registered earlier in this sweep
 					// may not be simulated yet — complete it now, which
-					// is exactly the state the sequential sweep would
+					// is exactly the state the sequential loop would
 					// have reached before evaluating point i.
 					owner := pending[basis.ID]
-					e.completeSimulation(f, points, fps, plans, results, owner, sc0)
-					done[owner] = true
+					e.completeSimulation(f, points, plans, results, owner, fanout, sc0)
+					plans[owner].done = true
 					delete(pending, basis.ID)
 					ownPending = false
 				}
 				// A basis still pending in this sweep at this line has
 				// no retained samples to validate against (with
 				// validation active it was completed inline above), and
-				// the sequential sweep trusts such matches as-is.
+				// the sequential loop trusts such matches as-is.
 				valid := ownPending || e.validateMatch(f, points[i], basis, mapping, sc0)
 				if valid && e.basisUsable(basis, mapping, ownPending) {
 					plans[i].basis = basis
@@ -304,11 +274,11 @@ func (e *Engine) sweepParallel(ctx context.Context, f PointEval, points []param.
 		if reuse {
 			payload := &BasisPayload{}
 			payload.markPending()
-			if basis, err := e.store.Add(fps[i], points[i].Key(), payload); err == nil {
+			if basis, err := e.store.Add(plans[i].fp, points[i].Key(), payload); err == nil {
 				plans[i].basis = basis
 				plans[i].payload = payload
 				pending[basis.ID] = i
-				own.add(e.store, fps[i], basis)
+				own.add(e.store, plans[i].fp, basis)
 			}
 		}
 	}
@@ -317,8 +287,8 @@ func (e *Engine) sweepParallel(ctx context.Context, f PointEval, points []param.
 	// Simulated payloads must be complete before any reuse point maps
 	// from them, hence the barrier before C2.
 	if err := pool.ForWorker(ctx, n, workers, func(w, i int) {
-		if plans[i].simulate && !done[i] {
-			e.completeSimulation(f, points, fps, plans, results, i, scratches[w])
+		if plans[i].simulate && !plans[i].done {
+			e.completeSimulation(f, points, plans, results, i, fanout, scratches[w])
 		}
 	}); err != nil {
 		return nil, SweepStats{}, err
@@ -339,7 +309,7 @@ func (e *Engine) sweepParallel(ctx context.Context, f PointEval, points []param.
 		}
 		// Unreachable when basisUsable agreed to the reuse; simulate
 		// defensively rather than return a zero result.
-		res, _ := e.fullSimulation(f, points[i], fps[i], 1, scratches[w])
+		res, _ := e.fullSimulation(f, points[i], plans[i].fp, 1, scratches[w])
 		results[i] = res
 		e.fullSims.Add(1)
 	}); err != nil {
@@ -352,7 +322,7 @@ func (e *Engine) sweepParallel(ctx context.Context, f PointEval, points []param.
 
 // commitMatch replays point i's speculative match against the store
 // as of this commit step and returns exactly the (basis, mapping, ok)
-// a sequential sweep's MatchWhereBuf would return here, plus the
+// the sequential loop's MatchWhereBuf would return here, plus the
 // number of mapping-discovery attempts that decision would have
 // scanned. The cases, cheapest first:
 //
@@ -406,17 +376,14 @@ func (e *Engine) commitMatch(fp core.Fingerprint, plan *pointPlan, own *ownAdds,
 	return nil, nil, false, scanned, false
 }
 
-// completeSimulation runs point i's full simulation, stores its result
-// and fills its registered basis payload. Inner sample parallelism is
-// disabled: either the pool is already saturated with other points
-// (phase C1) or the call is a one-off on the sequential path (phase B
-// validation) where determinism, not latency, is the concern. The
-// counter is incremented here — when the work actually runs — so a
-// cancelled sweep does not inflate the engine's lifetime stats with
-// simulations that never happened.
-func (e *Engine) completeSimulation(f PointEval, points []param.Point, fps []core.Fingerprint, plans []pointPlan, results []PointResult, i int, sc *scratch) {
+// completeSimulation runs point i's full simulation, spread over up
+// to fanout goroutines, stores its result and fills its registered
+// basis payload. The counter is incremented here — when the work
+// actually runs — so a cancelled sweep does not inflate the engine's
+// lifetime stats with simulations that never happened.
+func (e *Engine) completeSimulation(f PointEval, points []param.Point, plans []pointPlan, results []PointResult, i, fanout int, sc *scratch) {
 	e.fullSims.Add(1)
-	res, samples := e.fullSimulation(f, points[i], fps[i], 1, sc)
+	res, samples := e.fullSimulation(f, points[i], plans[i].fp, fanout, sc)
 	if plans[i].basis != nil {
 		plans[i].payload.Summary = res.Summary
 		if e.opts.KeepSamples {

@@ -89,9 +89,9 @@ func synthSpace(t *testing.T, n int) *param.Space {
 // with basis registrations forced throughout the sweep (multi-family
 // workloads) and against both a fresh and a warmed store — the former
 // drives the commit loop's delta replay, the latter commits
-// speculative hits verbatim — a parallel sweep returns bit-identical
-// PointResults and SweepStats to the sequential sweep, for every
-// worker count.
+// speculative hits verbatim — a sweep returns bit-identical
+// PointResults and SweepStats to the sequential Fig. 3 loop of
+// EvaluatePoint calls, for every worker count.
 func TestSweepParallelDeterminism(t *testing.T) {
 	demandSpace := sweepSpace(t)
 	demand := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
@@ -124,21 +124,21 @@ func TestSweepParallelDeterminism(t *testing.T) {
 			seqOpts := sweepOptions(1)
 			tc.mutate(&seqOpts)
 			seqEng := MustNew(seqOpts)
-			// Two sweeps per engine: the first runs against an empty
+			points := tc.space.Points()
+			// Two rounds per engine: the first runs against an empty
 			// store (every speculative view goes stale as bases
 			// register), the second against a warmed one (speculative
 			// hits commit verbatim in O(1)).
 			var seqRes [2][]PointResult
 			var seqStats [2]SweepStats
 			for round := range seqRes {
-				res, st, err := seqEng.Sweep(tc.ev, tc.space)
-				if err != nil {
-					t.Fatal(err)
+				for _, p := range points {
+					seqRes[round] = append(seqRes[round], seqEng.EvaluatePoint(tc.ev, p))
 				}
-				seqRes[round], seqStats[round] = res, st
+				seqStats[round] = seqEng.Stats(len(points))
 			}
 
-			for _, workers := range []int{2, 4, 7} {
+			for _, workers := range []int{1, 2, 4, 7} {
 				parOpts := sweepOptions(workers)
 				tc.mutate(&parOpts)
 				parEng := MustNew(parOpts)
@@ -255,17 +255,68 @@ func TestAbandonedPendingBasisDoesNotShadow(t *testing.T) {
 	}
 }
 
-// TestSweepContextCancel checks a cancelled context aborts both the
-// sequential and the parallel paths.
+// TestSweepContextCancel checks a cancelled context aborts a sweep on
+// one worker and on several.
 func TestSweepContextCancel(t *testing.T) {
-	space := sweepSpace(t)
+	points := sweepSpace(t).Points()
 	ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
 		eng := MustNew(sweepOptions(workers))
-		if _, _, err := eng.SweepContext(ctx, ev, space); err != context.Canceled {
+		if _, _, err := eng.SweepBatchContext(ctx, ev, points); err != context.Canceled {
 			t.Fatalf("workers=%d: got error %v, want context.Canceled", workers, err)
 		}
+	}
+}
+
+// TestSweepBatchEdgeSizes pins the batch sizes at the edges of the
+// phased sweep: an empty batch returns no results and no error, and a
+// one-point batch on a pool wider than the batch — whose full
+// simulation spreads its samples over the idle workers — matches
+// EvaluatePoint bit for bit.
+func TestSweepBatchEdgeSizes(t *testing.T) {
+	ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
+	opts := Options{Samples: 4096, FingerprintLen: 10, MasterSeed: 0x5161, Reuse: true, Workers: 4}
+
+	eng := MustNew(opts)
+	res, st, err := eng.SweepBatch(ev, nil)
+	if err != nil || res != nil {
+		t.Fatalf("empty batch: results %v, error %v; want none", res, err)
+	}
+	if st != (SweepStats{Store: eng.Store().Stats()}) {
+		t.Fatalf("empty batch stats %+v", st)
+	}
+
+	p := param.Point{"current_week": 30, "feature_release": 12}
+	want := MustNew(opts).EvaluatePoint(ev, p)
+	got, _, err := MustNew(opts).SweepBatch(ev, []param.Point{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("one-point batch %+v, EvaluatePoint %+v", got, want)
+	}
+}
+
+// TestSweepNegativeWorkers checks a negative pool size counts as one
+// worker rather than sizing the sweep's per-worker state below zero.
+func TestSweepNegativeWorkers(t *testing.T) {
+	points := sweepSpace(t).Points()
+	ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
+	want, _, err := MustNew(sweepOptions(1)).SweepBatch(ev, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := MustNew(sweepOptions(-1))
+	if w := eng.Options().Workers; w != 1 {
+		t.Fatalf("Workers -1 became %d, want 1", w)
+	}
+	got, _, err := eng.SweepBatch(ev, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("Workers -1 sweep differs from Workers 1")
 	}
 }

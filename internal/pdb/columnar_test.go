@@ -61,7 +61,7 @@ func assertBitIdentical(t *testing.T, plan Plan, params map[string]float64, worl
 		for _, workers := range columnarWorkers {
 			opts := WorldsOptions{
 				Worlds: worlds, MasterSeed: 0x1234, KeepSamples: true, HistBins: 8,
-				BlockWorlds: bw, Workers: workers,
+				blockWorlds: bw, Workers: workers,
 			}
 			sOpts := opts
 			sOpts.Mode = ExecScalar
@@ -371,7 +371,7 @@ func TestColumnarCardinalityErrorParity(t *testing.T) {
 	ext := vgExtendPlan(t, db, ValuesPlan{}, "demand")
 	pred := mustBindX(t, BinOp{">", Col{"demand"}, Param{"week"}}, ext.Schema(), db.Env())
 	plan := &SelectPlan{Child: ext, Pred: pred, Desc: "demand > week"}
-	opts := WorldsOptions{Worlds: 200, MasterSeed: 7, BlockWorlds: 64}
+	opts := WorldsOptions{Worlds: 200, MasterSeed: 7, blockWorlds: 64}
 	sOpts := opts
 	sOpts.Mode = ExecScalar
 	_, wantErr := RunDistribution(plan, map[string]float64{"week": 20}, sOpts)
@@ -404,7 +404,7 @@ func TestColumnarBulkVGSumBitIdentical(t *testing.T) {
 	bulk := &BulkVGSumPlan{Source: tbl, Box: blackbox.UserUsage{}, Args: args}
 	params := map[string]float64{"week": 40}
 	for _, bw := range []int{1, 7, 256, 1000} {
-		opts := WorldsOptions{Worlds: 300, MasterSeed: 9, BlockWorlds: bw}
+		opts := WorldsOptions{Worlds: 300, MasterSeed: 9, blockWorlds: bw}
 		col, err := bulk.Run(params, opts)
 		if err != nil {
 			t.Fatal(err)

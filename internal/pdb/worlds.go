@@ -20,15 +20,14 @@ const (
 	// go through block kernels, and aggregation is batched.
 	ExecColumnar ExecMode = iota
 	// ExecScalar runs the reference per-world interpreter. For any
-	// fixed (BlockWorlds, Workers) it produces a bit-identical
-	// Distribution — the property the columnar tests pin — at
-	// tuple-at-a-time cost.
+	// Workers it produces a bit-identical Distribution — the property
+	// the columnar tests pin — at tuple-at-a-time cost.
 	ExecScalar
 )
 
-// DefaultBlockWorlds is the default number of worlds per execution
-// block, matching the Monte Carlo engine's sample-block size.
-const DefaultBlockWorlds = 256
+// defaultBlockWorlds is the number of worlds per execution block,
+// matching the Monte Carlo engine's sample-block size.
+const defaultBlockWorlds = 256
 
 // WorldsOptions configures Monte Carlo query execution.
 type WorldsOptions struct {
@@ -45,26 +44,25 @@ type WorldsOptions struct {
 	// HistBins adds histograms to cell summaries when KeepSamples is
 	// set.
 	HistBins int
-	// BlockWorlds is the number of worlds per execution block
-	// (default DefaultBlockWorlds). Results are bit-identical across
-	// Mode and Workers for a fixed BlockWorlds; across *different*
-	// block sizes, cell moments may differ in final-ulp rounding (the
-	// batched reduction is split-dependent, like the engine's).
-	BlockWorlds int
 	// Workers sizes the worker pool world blocks execute on (≤1 =
 	// sequential). Blocks are committed in order, so results are
 	// bit-identical for any worker count.
 	Workers int
 	// Mode selects the executor (columnar by default).
 	Mode ExecMode
+
+	// blockWorlds is the number of worlds per execution block; 0
+	// means defaultBlockWorlds. Only in-package tests set it, to show
+	// that both executors agree at every block size.
+	blockWorlds int
 }
 
 func (o WorldsOptions) withDefaults() WorldsOptions {
 	if o.Worlds == 0 {
 		o.Worlds = 1000
 	}
-	if o.BlockWorlds <= 0 {
-		o.BlockWorlds = DefaultBlockWorlds
+	if o.blockWorlds <= 0 {
+		o.blockWorlds = defaultBlockWorlds
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -338,7 +336,7 @@ func runBlockScalar(plan Plan, params map[string]float64, seeds []uint64, lo int
 // failing block's error wins, deterministically).
 func runBlocks(plan Plan, params map[string]float64, opts WorldsOptions) ([]*blockOut, error) {
 	seeds := worldSeeds(opts.MasterSeed, opts.Worlds)
-	bw := opts.BlockWorlds
+	bw := opts.blockWorlds
 	nblocks := 0
 	if opts.Worlds > 0 {
 		nblocks = (opts.Worlds + bw - 1) / bw
@@ -378,8 +376,7 @@ func putBlockOuts(outs []*blockOut) {
 // produce the same number of rows; a query whose cardinality is
 // world-dependent is not positionally alignable and is rejected (wrap
 // it in an aggregate instead). Both executors, and any Workers
-// setting, produce bit-identical Distributions for a fixed
-// BlockWorlds.
+// setting, produce bit-identical Distributions.
 func RunDistribution(plan Plan, params map[string]float64, opts WorldsOptions) (*Distribution, error) {
 	if plan == nil {
 		return nil, errors.New("pdb: nil plan")
@@ -600,7 +597,7 @@ func (p *BulkVGSumPlan) Run(params map[string]float64, opts WorldsOptions) ([]fl
 	}
 	seeds := worldSeeds(opts.MasterSeed, opts.Worlds)
 	sums := make([]float64, opts.Worlds)
-	bw := opts.BlockWorlds
+	bw := opts.blockWorlds
 	nblocks := (opts.Worlds + bw - 1) / bw
 	// Each block owns the disjoint sums[lo:hi) range, so the fold is
 	// race-free and bit-identical for any worker count.

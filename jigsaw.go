@@ -36,11 +36,11 @@
 // # Concurrency
 //
 // Sweeps parallelize across parameter points: set
-// EngineOptions.Workers (0 = all cores) and Engine.Sweep,
-// Engine.SweepBatch and their context-aware variants
-// Engine.SweepContext / Engine.SweepBatchContext spread the points
-// over a worker pool while returning results bit-identical to a
-// sequential sweep. The basis store takes sharded locks keyed on
+// EngineOptions.Workers (0 = all cores) and Engine.SweepBatchContext
+// — with its wrappers Engine.Sweep (a whole space) and
+// Engine.SweepBatch (no cancellation) — spreads the points over a
+// worker pool while returning results bit-identical to evaluating
+// them one by one. The basis store takes sharded locks keyed on
 // fingerprint signatures, so engines may also be shared between
 // goroutines calling EvaluatePoint. Interactive sessions draw their
 // per-tick sample batches on a pool sized by SessionOptions.Workers.
@@ -89,9 +89,6 @@ type (
 	Box = blackbox.Box
 	// BoxFunc adapts a plain function to Box.
 	BoxFunc = blackbox.Func
-	// BulkBox is the optional set-at-a-time capability used by the
-	// PDB substrate's vectorized operators.
-	BulkBox = blackbox.BulkEvaluator
 	// Registry resolves box names for SQL queries.
 	Registry = blackbox.Registry
 	// User is a row of the synthetic per-user dataset.
@@ -212,10 +209,11 @@ func NewAccumulator(keepSamples bool) *Accumulator { return stats.NewAccumulator
 
 type (
 	// Engine is the Monte Carlo engine with fingerprint reuse (the
-	// dashed box of Fig. 3). Its Sweep, SweepContext, SweepBatch and
-	// SweepBatchContext methods evaluate parameter points on a worker
-	// pool sized by EngineOptions.Workers, deterministically: results
-	// are bit-identical for every worker count.
+	// dashed box of Fig. 3). Its SweepBatchContext method, and the
+	// Sweep and SweepBatch wrappers over it, evaluate parameter points
+	// on a worker pool sized by EngineOptions.Workers,
+	// deterministically: results are bit-identical for every worker
+	// count.
 	Engine = mc.Engine
 	// EngineOptions configures an Engine.
 	EngineOptions = mc.Options
@@ -398,9 +396,8 @@ func BuildPDBPlan(stmt *sqlparse.SelectStmt, db *DB) (PDBPlan, error) {
 }
 
 // RunDistribution executes a plan across sampled worlds — in
-// world-blocked columnar form by default (see WorldsOptions.Mode,
-// BlockWorlds and Workers); results are bit-identical across modes
-// and worker counts.
+// world-blocked columnar form by default (see WorldsOptions.Mode and
+// Workers); results are bit-identical across modes and worker counts.
 func RunDistribution(plan PDBPlan, params map[string]float64, opts WorldsOptions) (*Distribution, error) {
 	return pdb.RunDistribution(plan, params, opts)
 }
