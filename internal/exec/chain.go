@@ -77,11 +77,11 @@ func (c *ScenarioChain) Initial() markov.State {
 func (c *ScenarioChain) Step(step int, prev markov.State, r *rng.Rand) markov.State {
 	p := c.fixed.With(c.decl.DriverName, float64(step))
 	p[c.decl.Name] = prev[0] // chain parameter = fed-back value
-	slots := make([]float64, len(c.scenario.Columns))
-	if err := c.scenario.EvalRow(p, r, slots); err != nil {
-		panic(err) // resolution is compile-time; see ColumnEval
-	}
-	return markov.State{slots[c.chainIdx], slots[c.outputIdx]}
+	s := c.scenario
+	f := s.world(s.prog.bind, s.prog.run, p, nil, r)
+	next := markov.State{f.at(s.prog.cols[c.chainIdx], 0), f.at(s.prog.cols[c.outputIdx], 0)}
+	s.release(f)
+	return next
 }
 
 // Output implements markov.Chain: the designated output column.

@@ -2,7 +2,10 @@
 // execution substrates: the lightweight Monte Carlo engine with
 // fingerprint reuse (internal/mc), the PDB wrapper (internal/pdb), and
 // the Markov chain evaluator (internal/markov). It corresponds to the
-// query-processing pipeline of Fig. 3.
+// query-processing pipeline of Fig. 3. Scenario SELECTs compile to a
+// columnar program (program.go) that evaluates a block of sampled
+// worlds per call, so the engine's block pipeline drives them like any
+// other block-capable evaluator.
 package exec
 
 import (
@@ -12,14 +15,15 @@ import (
 	"jigsaw/internal/blackbox"
 	"jigsaw/internal/mc"
 	"jigsaw/internal/param"
+	"jigsaw/internal/pool"
 	"jigsaw/internal/rng"
 	"jigsaw/internal/sqlparse"
 )
 
 // Scenario is a compiled SELECT ... INTO definition: a parameter space
-// plus a row evaluator producing all result columns for one sampled
-// world. The whole row evaluation is "the stochastic function F" that
-// Jigsaw fingerprints (§3).
+// plus a program producing all result columns for sampled worlds. The
+// whole row evaluation is "the stochastic function F" that Jigsaw
+// fingerprints (§3).
 type Scenario struct {
 	// Script is the source AST.
 	Script *sqlparse.Script
@@ -30,23 +34,26 @@ type Scenario struct {
 	// Into is the results table name ("" when anonymous).
 	Into string
 
-	boxes *blackbox.Registry
-	// evals computes each column in order; inputs are the slots of
-	// earlier columns.
-	evals []colEval
+	prog program
+	// frames recycles the program's per-call working state.
+	frames *pool.Pool[frame]
 	// chains are the CHAIN declarations (Fig. 5).
 	chains []param.Decl
 }
 
-// colEval is the lightweight engine's compiled expression form: a
-// direct float interpreter with no value boxing, table materialization
-// or NULL bookkeeping — the "Ruby prototype" analogue of §6.1.
-type colEval func(slots []float64, p param.Point, r *rng.Rand) (float64, error)
+// column is one result column: its name and defining expression.
+type column struct {
+	name string
+	expr sqlparse.Expr
+}
 
 // CompileScenario compiles the script's SELECT statements against a
 // black-box registry. Multiple SELECTs are allowed; the scenario is
 // the last one with an INTO (or the last overall), matching how the
-// paper's scripts build one results table.
+// paper's scripts build one results table. Every column, function and
+// @parameter name resolves here, against the earlier columns, the
+// registry and the declared parameters (CHAIN ones included), so
+// evaluation cannot fail on resolution.
 func CompileScenario(script *sqlparse.Script, boxes *blackbox.Registry) (*Scenario, error) {
 	if script == nil || len(script.Selects) == 0 {
 		return nil, errors.New("exec: script has no SELECT statement")
@@ -69,18 +76,47 @@ func CompileScenario(script *sqlparse.Script, boxes *blackbox.Registry) (*Scenar
 	if err != nil {
 		return nil, err
 	}
+	cols, err := selectColumns(sel)
+	if err != nil {
+		return nil, err
+	}
 
 	s := &Scenario{
 		Script: script,
 		Space:  space,
 		Into:   sel.Into,
-		boxes:  boxes,
+		frames: pool.NewPool[frame](nil),
 		chains: chains,
 	}
-	slotIndex := map[string]int{}
+	c := compiler{
+		prog:   &s.prog,
+		space:  space,
+		boxes:  boxes,
+		names:  map[string]operand{},
+		params: map[string]int{},
+	}
+	for _, col := range cols {
+		o, err := c.expr(col.expr)
+		if err != nil {
+			return nil, fmt.Errorf("exec: column %q: %w", col.name, err)
+		}
+		c.names[col.name] = o
+		s.Columns = append(s.Columns, col.name)
+		s.prog.cols = append(s.prog.cols, o)
+		s.prog.bindEnd = append(s.prog.bindEnd, len(s.prog.bind))
+		s.prog.runEnd = append(s.prog.runEnd, len(s.prog.run))
+	}
+	return s, nil
+}
 
-	var compileSelect func(stmt *sqlparse.SelectStmt) error
-	compileSelect = func(stmt *sqlparse.SelectStmt) error {
+// selectColumns flattens a scenario SELECT into its result columns in
+// evaluation order: the columns of a FROM (SELECT ...) subquery first
+// (Fig. 5), so outer items can reference them, then the outer items.
+func selectColumns(sel *sqlparse.SelectStmt) ([]column, error) {
+	var cols []column
+	seen := map[string]bool{}
+	var walk func(stmt *sqlparse.SelectStmt) error
+	walk = func(stmt *sqlparse.SelectStmt) error {
 		if stmt.Where != nil {
 			return errors.New("exec: WHERE is not supported in scenario SELECTs " +
 				"(filter on the OPTIMIZE constraints or use the PDB engine)")
@@ -90,9 +126,7 @@ func CompileScenario(script *sqlparse.Script, boxes *blackbox.Registry) (*Scenar
 				return fmt.Errorf("exec: FROM %s requires the PDB engine; "+
 					"the lightweight engine evaluates model-only scenarios", stmt.From.Table)
 			}
-			// Fig. 5: FROM (SELECT ...) — compile the subquery's
-			// columns first so outer items can reference them.
-			if err := compileSelect(stmt.From.Subquery); err != nil {
+			if err := walk(stmt.From.Subquery); err != nil {
 				return err
 			}
 		}
@@ -101,28 +135,21 @@ func CompileScenario(script *sqlparse.Script, boxes *blackbox.Registry) (*Scenar
 			// A bare reference to a column the subquery already
 			// produced is a pass-through (Fig. 5 re-selects demand),
 			// not a new column.
-			if c, ok := item.Expr.(*sqlparse.ColRef); ok {
-				if _, exists := slotIndex[c.Name]; exists && name == c.Name {
-					continue
-				}
+			if c, ok := item.Expr.(*sqlparse.ColRef); ok && seen[c.Name] && name == c.Name {
+				continue
 			}
-			if _, dup := slotIndex[name]; dup {
+			if seen[name] {
 				return fmt.Errorf("exec: duplicate result column %q", name)
 			}
-			ev, err := compileExpr(item.Expr, slotIndex, boxes)
-			if err != nil {
-				return fmt.Errorf("exec: column %q: %w", name, err)
-			}
-			slotIndex[name] = len(s.evals)
-			s.Columns = append(s.Columns, name)
-			s.evals = append(s.evals, ev)
+			seen[name] = true
+			cols = append(cols, column{name, item.Expr})
 		}
 		return nil
 	}
-	if err := compileSelect(sel); err != nil {
+	if err := walk(sel); err != nil {
 		return nil, err
 	}
-	return s, nil
+	return cols, nil
 }
 
 // convertDecl lowers a parsed declaration into a param.Decl.
@@ -152,297 +179,340 @@ func (s *Scenario) HasColumn(name string) bool {
 // Chains returns the CHAIN declarations.
 func (s *Scenario) Chains() []param.Decl { return s.chains }
 
+// world runs a program prefix for the single world of generator r,
+// which it leaves where that world's draws leave it. It binds p with
+// bind first when args is nil. The caller reads the values from the
+// returned frame and then releases it.
+func (s *Scenario) world(bind, run []instr, p param.Point, args []float64, r *rng.Rand) *frame {
+	f := s.frames.Get()
+	f.resize(&s.prog, 1)
+	if args == nil {
+		f.own = s.prog.bindPoint(bind, p, f.own)
+		args = f.own
+	}
+	f.slots = args
+	f.rands[0] = *r
+	f.run(run)
+	*r = f.rands[0]
+	return f
+}
+
+// release returns a frame to the pool, dropping its view of the
+// caller's bound slots.
+func (s *Scenario) release(f *frame) {
+	f.slots = nil
+	s.frames.Put(f)
+}
+
 // EvalRow evaluates all result columns for one world, in order, into
-// out (len(out) must equal len(Columns)).
+// out (len(out) must equal len(Columns)), advancing r by the row's
+// draws.
 func (s *Scenario) EvalRow(p param.Point, r *rng.Rand, out []float64) error {
-	if len(out) != len(s.evals) {
-		return fmt.Errorf("exec: row buffer %d != %d columns", len(out), len(s.evals))
+	if len(out) != len(s.prog.cols) {
+		return fmt.Errorf("exec: row buffer %d != %d columns", len(out), len(s.prog.cols))
 	}
-	for i, ev := range s.evals {
-		v, err := ev(out, p, r)
-		if err != nil {
-			return err
+	for i := range s.prog.bind {
+		if in := &s.prog.bind[i]; in.op == opParam {
+			if _, ok := p.Get(in.name); !ok {
+				return fmt.Errorf("exec: unbound parameter @%s", in.name)
+			}
 		}
-		out[i] = v
 	}
+	f := s.world(s.prog.bind, s.prog.run, p, nil, r)
+	for i, o := range s.prog.cols {
+		out[i] = f.at(o, 0)
+	}
+	s.release(f)
 	return nil
 }
 
-// ColumnEval returns a PointEval producing the named column. Every
-// invocation evaluates the full row (one world of the whole scenario)
-// and projects the column — the simulation is a single stochastic
-// function; columns are views of it.
+// ColumnEval returns a PointEval producing the named column: one world
+// of the whole scenario, projected. Columns after it draw after it, so
+// they cannot change it and are not evaluated. The evaluator
+// implements mc.BlockBinder: the engine binds each point's parameters
+// once and evaluates whole blocks of worlds per call.
 func (s *Scenario) ColumnEval(name string) (mc.PointEval, error) {
-	idx := -1
 	for i, c := range s.Columns {
 		if c == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return nil, fmt.Errorf("exec: no result column %q (have %v)", name, s.Columns)
-	}
-	nCols := len(s.evals)
-	return mc.EvalFunc(func(p param.Point, r *rng.Rand) float64 {
-		slots := make([]float64, nCols)
-		if err := s.EvalRow(p, r, slots); err != nil {
-			// PointEval is infallible by contract; runtime evaluation
-			// errors indicate a compilation bug (all name resolution
-			// happens at compile time) and must not be silently folded
-			// into estimates.
-			panic(err)
-		}
-		return slots[idx]
-	}), nil
-}
-
-// compileExpr lowers a parsed expression to the direct interpreter
-// form. Name resolution happens here; evaluation cannot fail on
-// resolution. Booleans are represented as 0/1 floats.
-func compileExpr(e sqlparse.Expr, slots map[string]int, boxes *blackbox.Registry) (colEval, error) {
-	switch n := e.(type) {
-	case *sqlparse.NumberLit:
-		v := n.Value
-		return func([]float64, param.Point, *rng.Rand) (float64, error) { return v, nil }, nil
-	case *sqlparse.StringLit:
-		return nil, errors.New("string literals are not numeric")
-	case *sqlparse.ColRef:
-		idx, ok := slots[n.Name]
-		if !ok {
-			return nil, fmt.Errorf("unknown column %q", n.Name)
-		}
-		return func(s []float64, _ param.Point, _ *rng.Rand) (float64, error) {
-			return s[idx], nil
-		}, nil
-	case *sqlparse.ParamRef:
-		name := n.Name
-		return func(_ []float64, p param.Point, _ *rng.Rand) (float64, error) {
-			v, ok := p.Get(name)
-			if !ok {
-				return 0, fmt.Errorf("exec: unbound parameter @%s", name)
-			}
-			return v, nil
-		}, nil
-	case *sqlparse.Unary:
-		inner, err := compileExpr(n.E, slots, boxes)
-		if err != nil {
-			return nil, err
-		}
-		if n.Op == "NOT" {
-			return func(s []float64, p param.Point, r *rng.Rand) (float64, error) {
-				v, err := inner(s, p, r)
-				if err != nil {
-					return 0, err
-				}
-				if v == 0 {
-					return 1, nil
-				}
-				return 0, nil
+			return &columnEval{
+				s:    s,
+				bind: s.prog.bind[:s.prog.bindEnd[i]],
+				run:  s.prog.run[:s.prog.runEnd[i]],
+				out:  s.prog.cols[i],
 			}, nil
 		}
-		return func(s []float64, p param.Point, r *rng.Rand) (float64, error) {
-			v, err := inner(s, p, r)
-			return -v, err
-		}, nil
+	}
+	return nil, fmt.Errorf("exec: no result column %q (have %v)", name, s.Columns)
+}
+
+// columnEval evaluates the program prefix through one column.
+type columnEval struct {
+	s         *Scenario
+	bind, run []instr
+	out       operand
+}
+
+var _ mc.BlockBinder = (*columnEval)(nil)
+
+// EvalPoint implements mc.PointEval: one world on r.
+func (e *columnEval) EvalPoint(p param.Point, r *rng.Rand) float64 {
+	f := e.s.world(e.bind, e.run, p, nil, r)
+	v := f.at(e.out, 0)
+	e.s.release(f)
+	return v
+}
+
+// BindPoint implements mc.PointBinder: it resolves the point's
+// parameters, and every value computed from parameters and literals
+// alone, into buf.
+func (e *columnEval) BindPoint(p param.Point, buf []float64) []float64 {
+	return e.s.prog.bindPoint(e.bind, p, buf)
+}
+
+// EvalBound implements mc.PointBinder: one world on r.
+func (e *columnEval) EvalBound(args []float64, r *rng.Rand) float64 {
+	f := e.s.world(nil, e.run, nil, args, r)
+	v := f.at(e.out, 0)
+	e.s.release(f)
+	return v
+}
+
+// EvalBlockBound implements mc.BlockBinder: one world per seed, each
+// drawing from its own generator seeded with it.
+func (e *columnEval) EvalBlockBound(args []float64, out []float64, seeds []uint64) {
+	f := e.s.frames.Get()
+	f.resize(&e.s.prog, len(seeds))
+	f.slots = args
+	for w, seed := range seeds {
+		f.rands[w].Seed(seed)
+	}
+	f.run(e.run)
+	v, s := f.value(e.out)
+	for w := range out {
+		out[w] = v[w*s]
+	}
+	e.s.release(f)
+}
+
+// compiler lowers column expressions into a program.
+type compiler struct {
+	prog  *program
+	space *param.Space
+	boxes *blackbox.Registry
+	// names are the operands of the columns compiled so far.
+	names map[string]operand
+	// params are the bound slots of the parameters loaded so far.
+	params map[string]int
+	// mask is the else mask the emitted model calls draw under.
+	mask int
+}
+
+// uniform emits a bind-time instruction into a fresh bound slot.
+func (c *compiler) uniform(in instr) operand {
+	in.dst = c.prog.nslots
+	c.prog.nslots++
+	c.prog.bind = append(c.prog.bind, in)
+	return operand{uniform: true, idx: in.dst}
+}
+
+// varying emits a run-time instruction into a fresh column.
+func (c *compiler) varying(in instr) operand {
+	in.dst = c.prog.nvecs
+	c.prog.nvecs++
+	c.prog.run = append(c.prog.run, in)
+	return operand{idx: in.dst}
+}
+
+// elementwise emits op over x and y: bound once per point when both
+// are uniform, per world otherwise.
+func (c *compiler) elementwise(op opcode, x, y operand) operand {
+	in := instr{op: op, x: x, y: y}
+	if x.uniform && y.uniform {
+		return c.uniform(in)
+	}
+	return c.varying(in)
+}
+
+// expr compiles e, emitting its instructions in the scalar draw order.
+// Booleans are represented as 0/1 floats.
+func (c *compiler) expr(e sqlparse.Expr) (operand, error) {
+	switch n := e.(type) {
+	case *sqlparse.NumberLit:
+		return c.uniform(instr{op: opConst, k: n.Value}), nil
+	case *sqlparse.StringLit:
+		return operand{}, errors.New("string literals are not numeric")
+	case *sqlparse.ColRef:
+		o, ok := c.names[n.Name]
+		if !ok {
+			return operand{}, fmt.Errorf("unknown column %q", n.Name)
+		}
+		return o, nil
+	case *sqlparse.ParamRef:
+		if slot, ok := c.params[n.Name]; ok {
+			return operand{uniform: true, idx: slot}, nil
+		}
+		if _, ok := c.space.Decl(n.Name); !ok {
+			return operand{}, fmt.Errorf("unknown parameter @%s (not declared)", n.Name)
+		}
+		o := c.uniform(instr{op: opParam, name: n.Name})
+		c.params[n.Name] = o.idx
+		return o, nil
+	case *sqlparse.Unary:
+		x, err := c.expr(n.E)
+		if err != nil {
+			return operand{}, err
+		}
+		if n.Op == "NOT" {
+			return c.elementwise(opNot, x, x), nil
+		}
+		return c.elementwise(opNeg, x, x), nil
 	case *sqlparse.Binary:
-		return compileBinary(n, slots, boxes)
+		x, err := c.expr(n.Left)
+		if err != nil {
+			return operand{}, err
+		}
+		y, err := c.expr(n.Right)
+		if err != nil {
+			return operand{}, err
+		}
+		op, ok := binaryOps[n.Op]
+		if !ok {
+			return operand{}, fmt.Errorf("unsupported operator %q", n.Op)
+		}
+		return c.elementwise(op, x, y), nil
 	case *sqlparse.CaseExpr:
-		return compileCase(n, slots, boxes)
+		return c.caseExpr(n)
 	case *sqlparse.FuncCall:
-		return compileCall(n, slots, boxes)
+		return c.call(n)
 	default:
-		return nil, fmt.Errorf("unsupported expression %T", e)
+		return operand{}, fmt.Errorf("unsupported expression %T", e)
 	}
 }
 
-func compileBinary(n *sqlparse.Binary, slots map[string]int, boxes *blackbox.Registry) (colEval, error) {
-	l, err := compileExpr(n.Left, slots, boxes)
-	if err != nil {
-		return nil, err
-	}
-	r, err := compileExpr(n.Right, slots, boxes)
-	if err != nil {
-		return nil, err
-	}
-	var op func(a, b float64) float64
-	switch n.Op {
-	case "+":
-		op = func(a, b float64) float64 { return a + b }
-	case "-":
-		op = func(a, b float64) float64 { return a - b }
-	case "*":
-		op = func(a, b float64) float64 { return a * b }
-	case "/":
-		op = func(a, b float64) float64 { return a / b }
-	case "<":
-		op = func(a, b float64) float64 { return b2f(a < b) }
-	case "<=":
-		op = func(a, b float64) float64 { return b2f(a <= b) }
-	case ">":
-		op = func(a, b float64) float64 { return b2f(a > b) }
-	case ">=":
-		op = func(a, b float64) float64 { return b2f(a >= b) }
-	case "=":
-		op = func(a, b float64) float64 { return b2f(a == b) }
-	case "<>":
-		op = func(a, b float64) float64 { return b2f(a != b) }
-	case "AND":
-		op = func(a, b float64) float64 { return b2f(a != 0 && b != 0) }
-	case "OR":
-		op = func(a, b float64) float64 { return b2f(a != 0 || b != 0) }
-	default:
-		return nil, fmt.Errorf("unsupported operator %q", n.Op)
-	}
-	return func(s []float64, p param.Point, rr *rng.Rand) (float64, error) {
-		a, err := l(s, p, rr)
-		if err != nil {
-			return 0, err
-		}
-		b, err := r(s, p, rr)
-		if err != nil {
-			return 0, err
-		}
-		return op(a, b), nil
-	}, nil
-}
-
-// compileCase compiles all arms. Arms are evaluated in order; note
-// that unlike SQL's lazy CASE, *model calls inside untaken arms are
-// still evaluated* so the generator stream advances identically on
-// every code path — the fixed stream-consumption discipline that keeps
-// fingerprints comparable across parameter values (§3.1). Scenario
-// authors pay a little wasted work for deterministic alignment.
-func compileCase(n *sqlparse.CaseExpr, slots map[string]int, boxes *blackbox.Registry) (colEval, error) {
-	type arm struct{ when, then colEval }
-	arms := make([]arm, 0, len(n.Whens))
+// caseExpr compiles all arms. Unlike SQL's lazy CASE, *model calls
+// inside untaken WHEN/THEN arms are still evaluated* so the generator
+// stream advances identically on every code path — the fixed
+// stream-consumption discipline that keeps fingerprints comparable
+// across parameter values (§3.1). Scenario authors pay a little wasted
+// work for deterministic alignment. The ELSE runs only in the worlds
+// no WHEN selects, so when it draws it draws under an else mask.
+func (c *compiler) caseExpr(n *sqlparse.CaseExpr) (operand, error) {
+	in := instr{op: opCase}
+	uniform := true
 	for _, a := range n.Whens {
-		w, err := compileExpr(a.When, slots, boxes)
+		w, err := c.expr(a.When)
 		if err != nil {
-			return nil, err
+			return operand{}, err
 		}
-		t, err := compileExpr(a.Then, slots, boxes)
+		t, err := c.expr(a.Then)
 		if err != nil {
-			return nil, err
+			return operand{}, err
 		}
-		arms = append(arms, arm{w, t})
+		in.ops = append(in.ops, w, t)
+		uniform = uniform && w.uniform && t.uniform
 	}
-	var elseEv colEval
-	if n.Else != nil {
-		var err error
-		if elseEv, err = compileExpr(n.Else, slots, boxes); err != nil {
-			return nil, err
+	switch {
+	case n.Else == nil:
+		in.x = c.uniform(instr{op: opConst})
+	case draws(n.Else):
+		c.prog.nmasks++
+		m := c.prog.nmasks
+		c.prog.run = append(c.prog.run, instr{op: opElseMask, dst: m, mask: c.mask, ops: in.ops})
+		parent := c.mask
+		c.mask = m
+		x, err := c.expr(n.Else)
+		c.mask = parent
+		if err != nil {
+			return operand{}, err
 		}
+		in.x = x
+	default:
+		x, err := c.expr(n.Else)
+		if err != nil {
+			return operand{}, err
+		}
+		in.x = x
 	}
-	return func(s []float64, p param.Point, r *rng.Rand) (float64, error) {
-		chosen := -1 // index of first satisfied arm; -2 selects ELSE
-		result := 0.0
-		for i, a := range arms {
-			c, err := a.when(s, p, r)
-			if err != nil {
-				return 0, err
-			}
-			v, err := a.then(s, p, r)
-			if err != nil {
-				return 0, err
-			}
-			if chosen == -1 && c != 0 {
-				chosen = i
-				result = v
-			}
-		}
-		if chosen >= 0 {
-			return result, nil
-		}
-		if elseEv != nil {
-			return elseEv(s, p, r)
-		}
-		return 0, nil
-	}, nil
+	if uniform && in.x.uniform {
+		return c.uniform(in), nil
+	}
+	return c.varying(in), nil
 }
 
-func compileCall(n *sqlparse.FuncCall, slots map[string]int, boxes *blackbox.Registry) (colEval, error) {
-	if n.Name == "NULL" {
-		return nil, errors.New("NULL is not supported by the lightweight engine")
-	}
-	args := make([]colEval, len(n.Args))
-	for i, a := range n.Args {
-		ev, err := compileExpr(a, slots, boxes)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = ev
-	}
-	if fn, arity, ok := scalarBuiltin(n.Name); ok {
-		if arity != len(args) {
-			return nil, fmt.Errorf("%s expects %d args, got %d", n.Name, arity, len(args))
-		}
-		return func(s []float64, p param.Point, r *rng.Rand) (float64, error) {
-			buf := make([]float64, len(args))
-			for i, a := range args {
-				v, err := a(s, p, r)
-				if err != nil {
-					return 0, err
-				}
-				buf[i] = v
+// draws reports whether e calls a model.
+func draws(e sqlparse.Expr) bool {
+	switch n := e.(type) {
+	case *sqlparse.Unary:
+		return draws(n.E)
+	case *sqlparse.Binary:
+		return draws(n.Left) || draws(n.Right)
+	case *sqlparse.CaseExpr:
+		for _, a := range n.Whens {
+			if draws(a.When) || draws(a.Then) {
+				return true
 			}
-			return fn(buf), nil
-		}, nil
+		}
+		return n.Else != nil && draws(n.Else)
+	case *sqlparse.FuncCall:
+		if _, ok := builtins[n.Name]; !ok {
+			return true
+		}
+		for _, a := range n.Args {
+			if draws(a) {
+				return true
+			}
+		}
 	}
-	if boxes == nil {
-		return nil, fmt.Errorf("unknown function %q (no registry)", n.Name)
+	return false
+}
+
+// call compiles a built-in or model call. A model call whose
+// arguments are all uniform binds them into one contiguous vector per
+// point and draws the column through blackbox.EvalStream; any other
+// gathers its arguments per world.
+func (c *compiler) call(n *sqlparse.FuncCall) (operand, error) {
+	if n.Name == "NULL" {
+		return operand{}, errors.New("NULL is not supported by the lightweight engine")
 	}
-	box, err := boxes.Lookup(n.Name)
+	args := make([]operand, len(n.Args))
+	uniform := true
+	for i, a := range n.Args {
+		o, err := c.expr(a)
+		if err != nil {
+			return operand{}, err
+		}
+		args[i] = o
+		uniform = uniform && o.uniform
+	}
+	if op, ok := builtins[n.Name]; ok {
+		arity := 2
+		if op == opAbs {
+			arity = 1
+		}
+		if arity != len(args) {
+			return operand{}, fmt.Errorf("%s expects %d args, got %d", n.Name, arity, len(args))
+		}
+		return c.elementwise(op, args[0], args[arity-1]), nil
+	}
+	if c.boxes == nil {
+		return operand{}, fmt.Errorf("unknown function %q (no registry)", n.Name)
+	}
+	box, err := c.boxes.Lookup(n.Name)
 	if err != nil {
-		return nil, err
+		return operand{}, err
 	}
 	if box.Arity() != len(args) {
-		return nil, fmt.Errorf("%s expects %d args, got %d", n.Name, box.Arity(), len(args))
+		return operand{}, fmt.Errorf("%s expects %d args, got %d", n.Name, box.Arity(), len(args))
 	}
-	return func(s []float64, p param.Point, r *rng.Rand) (float64, error) {
-		buf := make([]float64, len(args))
-		for i, a := range args {
-			v, err := a(s, p, r)
-			if err != nil {
-				return 0, err
-			}
-			buf[i] = v
+	in := instr{op: opCall, box: box, mask: c.mask, ops: args}
+	if uniform {
+		in.op, in.ops, in.lo = opStream, nil, c.prog.nslots
+		for _, a := range args {
+			c.uniform(instr{op: opCopy, x: a, y: a})
 		}
-		return box.Eval(buf, r), nil
-	}, nil
-}
-
-func scalarBuiltin(name string) (func([]float64) float64, int, bool) {
-	switch name {
-	case "ABS", "abs":
-		return func(a []float64) float64 {
-			if a[0] < 0 {
-				return -a[0]
-			}
-			return a[0]
-		}, 1, true
-	case "MINV", "minv":
-		return func(a []float64) float64 {
-			if a[0] < a[1] {
-				return a[0]
-			}
-			return a[1]
-		}, 2, true
-	case "MAXV", "maxv":
-		return func(a []float64) float64 {
-			if a[0] > a[1] {
-				return a[0]
-			}
-			return a[1]
-		}, 2, true
-	default:
-		return nil, 0, false
+		in.hi = c.prog.nslots
+	} else if len(args) > c.prog.maxArgs {
+		c.prog.maxArgs = len(args)
 	}
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
+	return c.varying(in), nil
 }

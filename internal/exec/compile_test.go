@@ -122,6 +122,11 @@ func TestCompileErrors(t *testing.T) {
 		"string lit":    "SELECT 'hello' AS a",
 		"null":          "SELECT NULL AS a",
 		"builtin arity": "SELECT ABS(1, 2) AS a",
+		"unknown param": "DECLARE PARAMETER @w AS RANGE 0 TO 4 STEP BY 1;\n" +
+			"SELECT DemandModel(@w, @typo) AS a",
+		"chain typo": "DECLARE PARAMETER @w AS RANGE 0 TO 4 STEP BY 1;\n" +
+			"DECLARE PARAMETER @r AS CHAIN a FROM @w : @w - 1 INITIAL VALUE 1;\n" +
+			"SELECT DemandModel(@w, @r) AS a, @rr AS b",
 	} {
 		script, err := sqlparse.Parse(src)
 		if err != nil {

@@ -488,4 +488,3 @@ func (s *Session) explore(ps *pointState) param.Point {
 	}
 	return target.Clone()
 }
-

@@ -189,4 +189,3 @@ func (d Decl) String() string {
 		return fmt.Sprintf("@%s AS <invalid>", d.Name)
 	}
 }
-
